@@ -241,16 +241,13 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--strategy", choices=("naive", "semi-naive", "planned", "parallel"),
+        "--strategy", choices=("naive", "semi-naive", "planned"),
         default="naive",
         help=(
             "chase evaluation strategy (semi-naive is faster on recursive "
             "workloads; planned compiles selectivity-ordered join plans "
             "into rule kernels over the interned columnar store and is "
-            "fastest on join-heavy programs; parallel partitions the EDB "
-            "by weakly-connected component and runs planned kernels per "
-            "shard, falling back to single-shard when rules join across "
-            "components; default: naive)"
+            "fastest on join-heavy programs; default: naive)"
         ),
     )
 
@@ -523,13 +520,6 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
         help="warm worker sessions / executor threads (default: %(default)s)",
     )
     serve.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="worker backend: 'thread' keeps all sessions in-process "
-             "(GIL-bound); 'process' boots one worker process per "
-             "worker from the shared snapshot and scales across cores "
-             "(default: %(default)s)",
-    )
-    serve.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",
         help="bound on admitted (in-flight) requests; beyond it requests "
              "shed with 503 + Retry-After (default: %(default)s)",
@@ -618,7 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scenario = _APP_SCENARIOS[args.app](args)
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        backend=args.backend,
         queue_limit=args.queue_limit, default_deadline_s=args.deadline_s,
         strategy=args.strategy,
     )
@@ -631,8 +620,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warm = max(ready.pool.warm_start_s) if ready.pool else 0.0
         print(
             f"serving {args.app} on http://{ready.host}:{ready.port} "
-            f"({config.workers} {config.backend} workers, "
-            f"strategy={args.strategy}, "
+            f"({config.workers} workers, strategy={args.strategy}, "
             f"warm-start {warm:.3f}s; Ctrl-C or SIGTERM to stop)",
             flush=True,
         )

@@ -446,8 +446,8 @@ class Explainer:
         """The plain proof-to-text conversion of the whole derivation —
         verbose and repetitive, but trivially complete.  This is the input
         handed to the pure-LLM baselines in the paper's experiments."""
-        records = self.result.provenance.proof_records(query)
-        return self.verbalizer.proof_text(records)
+        records = self.result.index.proof_records(query)
+        return self.verbalizer.proof_text(list(records))
 
     def proof_constants(self, query: Fact) -> tuple[str, ...]:
         """Ground truth for completeness checks (Section 6.3).

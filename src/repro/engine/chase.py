@@ -249,31 +249,13 @@ class ChaseEngine:
         specialized closure kernel (:mod:`repro.engine.kernels`) that
         joins over the database's interned-id columns, firing matches in
         naive enumeration order so derived facts and provenance stay
-        byte-identical to ``naive``;
-        ``"parallel"`` partitions the EDB into weakly-connected
-        components (:mod:`repro.engine.partition`) and chases each shard
-        with the planned strategy — serially in-process or, with
-        ``processes`` > 1, across a spawn-based process pool — then
-        merges the shards deterministically so records, provenance and
-        explanations stay byte-identical to ``planned``.  Programs
-        outside the shard-safe fragment fall back to single-shard
-        planned, counted by the ``engine.parallel_fallback`` metric.
-    processes:
-        Process-pool width for the ``parallel`` strategy.  ``None`` or
-        ``1`` chases shards serially in-process (no pickling, no spawn
-        cost — still useful for parity testing and on one core);
-        larger values fan shards out over ``concurrent.futures``.
+        byte-identical to ``naive``.
     """
 
     #: Supported evaluation strategies.
-    STRATEGIES = ("naive", "semi-naive", "planned", "parallel")
+    STRATEGIES = ("naive", "semi-naive", "planned")
 
-    def __init__(
-        self,
-        max_rounds: int = 10_000,
-        strategy: str = "naive",
-        processes: int | None = None,
-    ):
+    def __init__(self, max_rounds: int = 10_000, strategy: str = "naive"):
         if strategy not in self.STRATEGIES:
             raise ValueError(
                 f"unknown chase strategy {strategy!r}; "
@@ -281,7 +263,6 @@ class ChaseEngine:
             )
         self.max_rounds = max_rounds
         self.strategy = strategy
-        self.processes = processes
 
     # ------------------------------------------------------------------
     # Public API
@@ -295,8 +276,6 @@ class ChaseEngine:
         are checked against the final instance and reported as
         ``result.violations``.
         """
-        if self.strategy == "parallel":
-            return self._run_parallel(program, database)
         working = database.copy()
         result = ChaseResult(program=program, database=working)
         nulls = NullFactory()
@@ -409,112 +388,6 @@ class ChaseEngine:
             )
             flush_update_metrics(outcome)
             return outcome
-
-    def _run_parallel(self, program: Program, database: Database) -> ChaseResult:
-        """Shard-parallel chase: partition, chase per shard, merge.
-
-        Falls back to single-shard ``planned`` (same engine settings)
-        when the program is outside the shard-safe fragment or the EDB
-        forms a single component — the fallback is a correctness choice,
-        never an error, and is visible through the
-        ``engine.parallel_fallback`` / ``engine.parallel_single_shard``
-        counters and a flight event.
-        """
-        from .partition import (
-            analyze_program,
-            merge_shard_results,
-            partition_database,
-            run_shard,
-            _run_shard_payload,
-        )
-
-        flight = obs.current_flight()
-        analysis = analyze_program(program, database)
-        if not analysis.shardable:
-            obs.incr("engine.parallel_fallback")
-            if flight is not None:
-                flight.event(
-                    "parallel_fallback",
-                    program=program.name,
-                    reasons=list(analysis.reasons[:4]),
-                )
-            return self._single_shard_engine().run(program, database)
-        partition = partition_database(database, analysis)
-        if partition.count <= 1:
-            obs.incr("engine.parallel_single_shard")
-            return self._single_shard_engine().run(program, database)
-
-        stats: ChaseStats
-        with obs.span(
-            "chase.run",
-            program=program.name,
-            strategy=self.strategy,
-            shards=partition.count,
-        ) as run_span:
-            chase_phase = (
-                flight.phase("chase") if flight is not None else None
-            )
-            if chase_phase is not None:
-                chase_phase.__enter__()
-            try:
-                width = min(self.processes or 1, partition.count)
-                with obs.span(
-                    "chase.shards", shards=partition.count, processes=width
-                ):
-                    if width > 1:
-                        import multiprocessing
-                        from concurrent.futures import ProcessPoolExecutor
-
-                        payloads = [
-                            (program, facts, self.max_rounds)
-                            for facts in partition.shards
-                        ]
-                        with ProcessPoolExecutor(
-                            max_workers=width,
-                            mp_context=multiprocessing.get_context("spawn"),
-                        ) as pool:
-                            outcomes = list(
-                                pool.map(_run_shard_payload, payloads)
-                            )
-                    else:
-                        outcomes = [
-                            run_shard(program, facts, self.max_rounds)
-                            for facts in partition.shards
-                        ]
-                with obs.span("chase.merge", shards=partition.count):
-                    result = merge_shard_results(program, database, outcomes)
-                stats = result.stats
-                with obs.span(
-                    "chase.constraints", constraints=len(program.constraints)
-                ):
-                    self._check_constraints(program, result)
-            finally:
-                if chase_phase is not None:
-                    chase_phase.__exit__(None, None, None)
-            stats.violations = len(result.violations)
-            stats.symbols = len(result.database.symbols)
-            run_span.set(
-                rounds=result.rounds,
-                facts_derived=stats.facts_derived,
-                violations=stats.violations,
-            )
-        obs.incr("engine.parallel_runs")
-        obs.set_gauge("engine.parallel_shards", partition.count)
-        if flight is not None:
-            flight.count("chase_runs")
-            flight.count("chase_rounds", stats.rounds)
-            flight.count("chase_facts_derived", stats.facts_derived)
-            if stats.violations:
-                flight.event(
-                    "constraint_violations",
-                    program=program.name,
-                    violations=stats.violations,
-                )
-        self._flush_metrics(stats)
-        return result
-
-    def _single_shard_engine(self) -> "ChaseEngine":
-        return ChaseEngine(max_rounds=self.max_rounds, strategy="planned")
 
     @staticmethod
     def _flush_metrics(stats: ChaseStats) -> None:

@@ -43,7 +43,6 @@ from .protocol import (
     update_payload,
     whynot_payload,
 )
-from .procpool import ProcessWorkerPool
 from .routes import (
     PARSERS,
     serve_batch,
@@ -66,7 +65,6 @@ __all__ = [
     "ExplainRequest",
     "ExplanationServer",
     "PARSERS",
-    "ProcessWorkerPool",
     "ProtocolError",
     "SERVE_FORMAT",
     "ServeConfig",

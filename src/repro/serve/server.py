@@ -54,7 +54,6 @@ from ..obs.metrics import ServiceMetrics
 from ..obs.slo import SLOEvaluator
 from ..resilience.breaker import OPEN, CircuitBreaker
 from .admission import AdmissionController, ShedRequest
-from .procpool import ProcessWorkerPool
 from .protocol import (
     SERVE_FORMAT,
     ProtocolError,
@@ -101,7 +100,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = ephemeral (tests, benchmarks)
     workers: int = 2
-    backend: str = "thread"            # "thread" | "process"
+    backend: str = "thread"            # only "thread" is accepted
     queue_limit: int = 64              # admitted (in-flight + queued) bound
     default_deadline_s: float = 10.0   # per-request budget when unspecified
     retry_after_s: float = 1.0         # hint on queue sheds
@@ -153,12 +152,11 @@ class ExplanationServer:
             self.config.queue_limit, self.breaker, self.metrics,
             retry_after_s=self.config.retry_after_s,
         )
-        if self.config.backend not in ("thread", "process"):
+        if self.config.backend != "thread":
             raise ValueError(
-                f"backend must be 'thread' or 'process', "
-                f"got {self.config.backend!r}"
+                f"backend must be 'thread', got {self.config.backend!r}"
             )
-        self.pool: WorkerPool | ProcessWorkerPool | None = None
+        self.pool: WorkerPool | None = None
         self.host = self.config.host
         self.port = self.config.port
         self._executor: ThreadPoolExecutor | None = None
@@ -175,23 +173,13 @@ class ExplanationServer:
     async def start(self) -> None:
         """Spin workers up and bind the listening socket."""
         if self.pool is None:
-            if self.config.backend == "process":
-                self.pool = ProcessWorkerPool(
-                    self.application, self.snapshot,
-                    workers=self.config.workers,
-                    strategy=self.config.strategy,
-                    llm=self.llm, metrics=self.metrics,
-                    default_deadline_s=self.config.default_deadline_s,
-                    flight=self.flight,
-                )
-            else:
-                self.pool = WorkerPool(
-                    self.application, self.snapshot,
-                    workers=self.config.workers,
-                    strategy=self.config.strategy,
-                    llm=self.llm, metrics=self.metrics,
-                    default_deadline_s=self.config.default_deadline_s,
-                )
+            self.pool = WorkerPool(
+                self.application, self.snapshot,
+                workers=self.config.workers,
+                strategy=self.config.strategy,
+                llm=self.llm, metrics=self.metrics,
+                default_deadline_s=self.config.default_deadline_s,
+            )
             self._executor = ThreadPoolExecutor(
                 max_workers=self.config.workers,
                 thread_name_prefix="repro-serve",
@@ -556,10 +544,10 @@ class ExplanationServer:
         blocks on explanation work; the flight record is opened here and
         is therefore the thread's current record for the whole serve —
         the session's own nested records and cache counters land on it.
-        The pool is backend-blind: parsing and route semantics live in
-        :meth:`WorkerPool.serve` (and its process-backed counterpart),
-        shared with the worker processes so responses stay
-        byte-identical across backends.  A
+        Parsing and route semantics live in :meth:`WorkerPool.serve`
+        (over :mod:`repro.serve.routes`), the same path in-process
+        callers use, so responses stay byte-identical to in-process
+        serialization.  A
         :class:`~repro.serve.protocol.ProtocolError` propagates to
         ``_dispatch`` (400 + ``serve.bad_requests``).
         """

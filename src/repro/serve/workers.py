@@ -165,9 +165,8 @@ class WorkerPool:
     ) -> tuple[int, dict]:
         """Parse ``body`` for ``route`` and serve it: (status, payload).
 
-        The backend-agnostic entry point the HTTP server calls — the
-        process-backed pool overrides it to ship the same work over a
-        pipe.  A :class:`~repro.serve.protocol.ProtocolError` from the
+        The entry point the HTTP server calls.  A
+        :class:`~repro.serve.protocol.ProtocolError` from the
         parser propagates (the server answers 400); ``update`` targets
         the whole pool, every other route borrows one worker.
         """

@@ -44,9 +44,8 @@ class TestIndexParity:
     def test_views_match_tracker_ground_truth(self, scenario):
         result = scenario.run()
         chase = result.chase_result
-        tracker = ProvenanceTracker(chase)  # no index: the original walks
+        tracker = ProvenanceTracker(chase)  # the original walks
         index = result.index
-        assert tracker.index is None
         for fact in result.derived():
             assert index.spine(fact) == tracker.spine(fact)
             assert list(index.proof_records(fact)) == tracker.proof_records(fact)
@@ -68,11 +67,11 @@ class TestIndexParity:
         ]
         assert list(result.index.active_facts()) == expected
 
-    def test_tracker_delegates_to_index(self, scenario):
+    def test_result_views_read_the_index(self, scenario):
         result = scenario.run()
-        assert result.provenance.index is result.index
         target = scenario.target
-        assert result.provenance.spine(target) is result.index.spine(target)
+        assert result.spine(target) is result.index.spine(target)
+        assert result.proof_size(target) == result.index.proof_size(target)
 
     def test_edb_facts_and_unknowns(self, scenario):
         result = scenario.run()

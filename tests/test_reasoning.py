@@ -80,5 +80,5 @@ class TestCachedViews:
     def test_graph_is_cached(self, control_result):
         assert control_result.graph is control_result.graph
 
-    def test_provenance_is_cached(self, control_result):
-        assert control_result.provenance is control_result.provenance
+    def test_index_is_cached(self, control_result):
+        assert control_result.index is control_result.index

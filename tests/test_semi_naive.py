@@ -10,8 +10,9 @@ from repro.engine import ChaseEngine, Database, chase, reason
 
 class TestStrategySelection:
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            ChaseEngine(strategy="magic")
+        for strategy in ("magic", "parallel"):
+            with pytest.raises(ValueError):
+                ChaseEngine(strategy=strategy)
 
     def test_default_is_naive(self):
         assert ChaseEngine().strategy == "naive"

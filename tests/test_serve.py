@@ -671,6 +671,13 @@ class TestRetryAfterAndCooldown:
         payload = json.loads(data)
         assert payload["backend"] == "thread"
 
+    def test_only_thread_backend_accepted(self, scenario, snapshot):
+        with pytest.raises(ValueError, match="backend"):
+            ExplanationServer(
+                scenario.application, snapshot=snapshot,
+                config=ServeConfig(backend="process"),
+            )
+
 
 class TestWorkerBootTelemetry:
     def test_boot_rows_in_healthz(self, server):
@@ -691,164 +698,6 @@ class TestWorkerBootTelemetry:
             histogram = server.metrics.find_histogram(name)
             assert histogram is not None, name
             assert histogram.count == 1
-
-
-# ----------------------------------------------------------------------
-# Process backend: byte parity, telemetry merge, update broadcast
-# ----------------------------------------------------------------------
-
-class TestProcessBackend:
-    @pytest.fixture(scope="class")
-    def proc_server(self, scenario, snapshot):
-        instance = ExplanationServer(
-            scenario.application, snapshot=snapshot,
-            config=ServeConfig(
-                workers=2, backend="process", strategy="planned",
-                slo_period_s=60.0, slo_interval_requests=10_000,
-            ),
-            llm=None,
-        )
-        with instance.run_in_thread():
-            yield instance
-
-    def test_healthz_reports_process_backend(self, proc_server):
-        status, _headers, data = _request(proc_server, "GET", "/healthz")
-        payload = json.loads(data)
-        assert status == 200
-        assert payload["backend"] == "process"
-        assert payload["workers"] == 2
-        rows = payload["warm_start"]["boot_rows"]
-        assert sorted(row["worker"] for row in rows) == [0, 1]
-
-    def test_explain_byte_parity_with_thread_backend(
-        self, proc_server, direct, scenario
-    ):
-        status, headers, served = _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        assert status == 200
-        expected = encode_body(
-            explanation_payload(direct.explain(scenario.target))
-        )
-        assert served == expected
-        assert headers.get("X-Query-Id")
-
-    def test_whynot_byte_parity(self, proc_server, direct, scenario):
-        arity = scenario.target.arity
-        absent = "{}({})".format(
-            scenario.target.predicate,
-            ", ".join(f"Absentia{n}" for n in range(arity)),
-        )
-        status, _headers, served = _request(
-            proc_server, "POST", "/whynot", {"query": absent}
-        )
-        assert status == 200
-        expected = encode_body(
-            whynot_payload(direct.why_not(parse_fact(absent)))
-        )
-        assert served == expected
-
-    def test_malformed_body_is_400(self, proc_server):
-        connection = http.client.HTTPConnection(
-            proc_server.host, proc_server.port, timeout=30
-        )
-        try:
-            connection.request("POST", "/explain", body=b'{"nope": 1}')
-            response = connection.getresponse()
-            assert response.status == 400
-            assert json.loads(response.read())["status"] == "bad_request"
-        finally:
-            connection.close()
-
-    def test_worker_metrics_merge_into_parent(self, proc_server, scenario):
-        _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        # Session-level counters only exist inside the worker processes;
-        # seeing them in the parent registry proves the delta shipping.
-        snapshot_doc = proc_server.metrics.registry_snapshot()
-        assert any(
-            name.startswith(("explain", "session", "serve.worker"))
-            for name in snapshot_doc["counters"]
-        ) or snapshot_doc["histograms"], snapshot_doc["counters"]
-        boot = proc_server.metrics.find_histogram("serve.worker_boot")
-        assert boot is not None and boot.count == 2
-
-    def test_worker_flight_records_ingested(self, proc_server, scenario):
-        _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        prefixed = [
-            record.query_id
-            for record in proc_server.flight.records()
-            if record.query_id.startswith("w")
-        ]
-        assert prefixed, "expected w<i>- prefixed worker flight records"
-
-
-class TestProcessUpdateBroadcast:
-    @pytest.fixture()
-    def setup(self, scenario, snapshot):
-        instance = ExplanationServer(
-            scenario.application, snapshot=snapshot,
-            config=ServeConfig(
-                workers=2, backend="process", strategy="planned",
-                slo_period_s=60.0, slo_interval_requests=10_000,
-            ),
-            llm=None,
-        )
-        service = ExplanationService(llm=None)
-        mirror = service.session(
-            scenario.application, loads_database(snapshot),
-            strategy="planned",
-        )
-        try:
-            with instance.run_in_thread():
-                yield instance, mirror
-        finally:
-            service.shutdown()
-
-    def test_update_broadcasts_to_every_worker(self, setup):
-        instance, mirror = setup
-        adds = ["Company(Absentia0)", "Own(IrishBank, Absentia0, 0.9)"]
-        status, _headers, data = _request(
-            instance, "POST", "/update", {"adds": adds}
-        )
-        assert status == 200
-        assert json.loads(data)["mode"] == "incremental"
-        mirror.update(adds=[parse_fact(entry) for entry in adds])
-        derived = "Control(IrishBank, Absentia0)"
-        expected = encode_body(
-            explanation_payload(mirror.explain(parse_fact(derived)))
-        )
-        # Every worker process must serve the post-update state: with 2
-        # workers, 4 sequential requests hit both.
-        for _ in range(4):
-            status, _headers, served = _request(
-                instance, "POST", "/explain", {"query": derived}
-            )
-            assert status == 200
-            assert served == expected
-
-    def test_rejected_delta_leaves_every_worker_untouched(
-        self, setup, scenario
-    ):
-        instance, mirror = setup
-        status, _headers, data = _request(
-            instance, "POST", "/update",
-            {"retracts": ["Control(IrishBank, FondoItaliano)"]},
-        )
-        assert status == 400
-        assert "derived" in json.loads(data)["error"]
-        expected = encode_body(
-            explanation_payload(mirror.explain(scenario.target))
-        )
-        for _ in range(4):
-            status, _headers, served = _request(
-                instance, "POST", "/explain", {"query": str(scenario.target)}
-            )
-            assert status == 200
-            assert served == expected
 
 
 # ----------------------------------------------------------------------
