@@ -9,11 +9,18 @@ replaces (a fresh planned chase plus a from-scratch index build) on the
 largest bundled workload, and sweeps randomized add/retract schedules
 across the bundled applications asserting byte-identical results.
 
+A second, *heavy* case adds a majority edge to a 60-entity graph: the
+candidate edge (from a fixed seeded list) that dirties the most
+aggregate groups, so the update recomputes thousands of σ3 groups.  A
+light edge never exercises that path; the heavy one guards it.
+
 Emits ``BENCH_incremental.json`` with single-edge add/retract timings,
-their speedups over full re-chase, and the parity verdict.  Runs
-standalone (``python benchmarks/bench_incremental.py [--quick]``) for CI
-— where the ``incremental`` gate suite asserts both speedups stay ≥ 5x
-and parity holds — or under pytest with the other benchmarks.
+their speedups over full re-chase, the heavy case, and the parity
+verdict.  Runs standalone
+(``python benchmarks/bench_incremental.py [--quick]``) for CI — where
+the ``incremental`` gate suite asserts both light speedups stay ≥ 5x,
+the heavy add stays ≥ 0.5x, and parity holds — or under pytest with
+the other benchmarks.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.apps import (
     golden_powers,
     integrated_ownership,
 )
+from repro.datalog import Fact
 from repro.engine.chase import ChaseEngine
 from repro.engine.database import Database
 from repro.engine.incremental import extensional_facts
@@ -40,21 +48,58 @@ from _harness import RESULTS_DIR, append_history, emit_stats, once
 #: The largest bundled workload (same instance the engine-scaling bench
 #: calls ``ownership_network``): 30 entities, 90 ownership edges.
 LARGEST = {"app": "company_control", "entities": 30, "edges": 90, "seed": 11}
+#: The heavy case: the serving benchmark's graph shape, and a fixed
+#: seeded list of candidate majority edges to pick the heaviest from.
+HEAVY = {
+    "app": "company_control", "entities": 60, "edges": 180, "seed": 11,
+    "candidates": 8, "candidate_seed": 0, "share": 0.6,
+}
 
 
-def _largest_workload():
+def _workload(shape: dict):
     application = company_control.build()
     database = generators.random_ownership_database(
-        entities=LARGEST["entities"], edges=LARGEST["edges"],
-        seed=LARGEST["seed"],
+        entities=shape["entities"], edges=shape["edges"], seed=shape["seed"],
     )
     return application, database
 
 
-def _measure_single_edge(repeats: int) -> dict:
-    """Best-of-``repeats`` single-edge add and retract on the largest
-    workload, incremental (update + index rebind) vs full (fresh chase +
-    fresh index build).
+def _heaviest_edge(application, database) -> tuple[Fact, int]:
+    """The candidate edge whose add recomputes the most aggregate groups
+    (first one on ties), with that group count."""
+    names = [
+        f.terms[0].value for f in database.facts() if f.predicate == "Company"
+    ]
+    existing = {
+        (f.terms[0].value, f.terms[1].value)
+        for f in database.facts() if f.predicate == "Own"
+    }
+    rng = random.Random(HEAVY["candidate_seed"])
+    candidates: list[Fact] = []
+    while len(candidates) < HEAVY["candidates"]:
+        owner, target = rng.sample(names, 2)
+        if (owner, target) in existing:
+            continue
+        existing.add((owner, target))
+        candidates.append(company_control.own(owner, target, HEAVY["share"]))
+    engine = ChaseEngine(strategy="planned")
+    base = engine.run(application.program, database)
+    weights = [
+        engine.update(
+            application.program, base, adds=[edge]
+        ).groups_recomputed
+        for edge in candidates
+    ]
+    heaviest = max(range(len(candidates)), key=weights.__getitem__)
+    return candidates[heaviest], weights[heaviest]
+
+
+def _measure_single_edge(
+    application, database, edge: Fact, repeats: int
+) -> dict:
+    """Best-of-``repeats`` single-edge add and retract of ``edge``,
+    incremental (update + index rebind) vs full (fresh chase + fresh
+    index build).
 
     Each trial adds one new ownership edge then retracts it again, so
     every repetition starts from the same materialized base state; the
@@ -63,11 +108,9 @@ def _measure_single_edge(repeats: int) -> dict:
     of what must stay fresh), and the full side times the chase plus the
     index build it would replace.
     """
-    application, database = _largest_workload()
     engine = ChaseEngine(strategy="planned")
     result = reason(application.program, database, strategy="planned")
     result.index  # materialize: updates maintain it in place
-    edge = company_control.own("Invest0", "Gruppo1", 0.55)
 
     def timed(action) -> float:
         started = time.perf_counter()
@@ -126,7 +169,6 @@ def _measure_single_edge(repeats: int) -> dict:
         }
 
     return {
-        "workload": dict(LARGEST),
         "derivations": len(result.chase_result.records),
         "repeats": repeats,
         "modes": modes,
@@ -243,11 +285,27 @@ def run(quick: bool = False) -> dict:
     metrics = obs.MetricsRegistry()
     profiler = obs.KernelProfiler(enabled=True)
     with obs.observed(tracer=tracer, metrics=metrics, profile=profiler):
-        update = _measure_single_edge(repeats=repeats)
+        application, database = _workload(LARGEST)
+        update = {"workload": dict(LARGEST)}
+        update.update(_measure_single_edge(
+            application, database,
+            company_control.own("Invest0", "Gruppo1", 0.55), repeats,
+        ))
+        application, database = _workload(HEAVY)
+        edge, groups = _heaviest_edge(application, database)
+        heavy = {
+            "workload": dict(HEAVY),
+            "edge": str(edge),
+            "groups_recomputed": groups,
+        }
+        heavy.update(_measure_single_edge(
+            application, database, edge, repeats
+        ))
         parity = _parity_sweep(quick=quick)
     payload = {
         "quick": quick,
         "update": update,
+        "heavy": heavy,
         "parity": parity,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -269,6 +327,9 @@ def check(payload: dict) -> None:
 
     * single-edge add ≥ 5x faster than full re-chase + index build;
     * single-edge retract ≥ 5x faster than the same baseline;
+    * the heavy edge add ≥ 0.5x the same baseline (an update that
+      dirties thousands of aggregate groups must not cost more than two
+      rebuilds);
     * the randomized parity sweep found zero divergences.
     """
     for kind in ("add", "retract"):
@@ -277,11 +338,17 @@ def check(payload: dict) -> None:
             f"incremental {kind} regressed: {speedup:.2f}x vs full "
             f"re-chase (need ≥ 5x)"
         )
+    speedup = payload["heavy"]["add"]["speedup"]
+    assert speedup is not None and speedup >= 0.5, (
+        f"heavy incremental add regressed: {speedup:.2f}x vs full "
+        f"re-chase (need ≥ 0.5x)"
+    )
     parity = payload["parity"]
     assert parity["identical"], (
         f"incremental/full divergence on {parity['mismatches']}"
     )
     full_runs = payload["update"]["modes"].get("full", 0)
+    full_runs += payload["heavy"]["modes"].get("full", 0)
     assert full_runs == 0, (
         f"single-edge updates fell back to full re-chase {full_runs} times"
     )

@@ -44,7 +44,7 @@ from ..datalog.unify import MutableSubstitution, apply_substitution
 from .database import Database
 from .join import execute_rule_plan, group_by_predicate
 from .kernels import RuleKernel, compile_rule_kernel
-from .planner import RulePlan, plan_rule
+from .planner import RulePlan, aggregate_split, plan_rule
 
 
 class ChaseError(DatalogError):
@@ -775,21 +775,7 @@ class ChaseEngine:
     ) -> bool:
         aggregate = rule.aggregate
         assert aggregate is not None
-        pre = tuple(
-            c for c in rule.conditions if aggregate.result not in c.variables()
-        )
-        post = tuple(
-            c for c in rule.conditions if aggregate.result in c.variables()
-        )
-        # Group by the head variables plus any body variable a
-        # post-aggregation condition needs (e.g. the creditor's capital p2
-        # in σ7's "l > p2") — those must be fixed within a group for the
-        # condition to be evaluable.
-        key_vars = list(aggregate.group_by)
-        for condition in post:
-            for variable in sorted(condition.variables(), key=lambda v: v.name):
-                if variable != aggregate.result and variable not in key_vars:
-                    key_vars.append(variable)
+        pre, post, key_vars = aggregate_split(rule)
 
         groups: dict[tuple[Term, ...], list[Contribution]] = {}
         for binding, used in self._body_matches(

@@ -23,17 +23,18 @@ oracles* rather than a classic differential fixpoint:
   (2) compiled delta kernels (:mod:`repro.engine.kernels`) probed with
   the accumulated set of changed facts, compiled lazily so an update
   that never touches a rule never pays for its kernel; (3) a *rederivation*
-  pool of threatened facts probed with head-bound selective joins — the
-  DRed rederivation step that keeps alternative derivations alive; and
-  (4) negation seeds: facts that vanished relative to the old run enable
-  matches that the old run never saw, found by binding the vanished
-  blocker into the rule body.  Stratum ordering makes both negation
-  channels sound: negated predicates are final before a stratum starts.
+  pool of threatened facts, each bound into the rule head and probed
+  through the kernel's seeded plans — the DRed rederivation step that
+  keeps alternative derivations alive; and (4) negation seeds: facts
+  that vanished relative to the old run enable matches that the old
+  run never saw, found by seeding the kernel with the vanished
+  blocker's binding.  Stratum ordering makes both negation channels
+  sound: negated predicates are final before a stratum starts.
 * Aggregate rules replay per *group*: groups whose composition is
-  untouched re-emit their recorded trajectory, groups marked dirty by
-  any channel are recomputed set-at-a-time with a group-key-bound join,
-  following the monotonic-supersession bookkeeping of the fresh engine
-  step for step.
+  untouched re-emit their recorded trajectory; all groups marked dirty
+  by any channel are recomputed together by one kernel execution seeded
+  with their group keys, following the monotonic-supersession
+  bookkeeping of the fresh engine step for step.
 
 Candidates from all channels are merged, deduplicated by parent tuple
 and fired in ascending parent-sequence order — the exact enumeration
@@ -48,12 +49,12 @@ from dataclasses import dataclass, replace
 
 from .. import obs
 from ..datalog.atoms import Fact
-from ..datalog.conditions import evaluate_assignment, evaluate_expression
+from ..datalog.conditions import evaluate_expression
 from ..datalog.errors import EvaluationError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.stratification import stratify
-from ..datalog.terms import Constant, Term, Variable
+from ..datalog.terms import Constant, Term
 from ..datalog.unify import MutableSubstitution, apply_substitution, match_atom
 from .chase import (
     ChaseEngine,
@@ -64,8 +65,8 @@ from .chase import (
 )
 from .database import Database
 from .join import group_by_predicate
-from .kernels import RuleKernel, compile_rule_kernel
-from .planner import RulePlan, plan_conjunction, plan_rule
+from .kernels import Match, RuleKernel, compile_rule_kernel
+from .planner import aggregate_split, plan_rule
 
 #: A (stratum, local round, rule position) coordinate in the replay grid.
 Slot = tuple[int, int, int]
@@ -86,7 +87,9 @@ class UpdateOutcome:
     resolved to nothing against the current EDB.  ``added`` and
     ``retracted`` are the *effective* extensional changes after
     normalization (adding a fact that is already extensional, or
-    retracting one that never was, drops out).
+    retracting one that never was, drops out).  ``groups_recomputed``
+    sums the dirty aggregate groups recomputed over all turns — the
+    usual answer to "why was this update slow?".
     """
 
     result: ChaseResult
@@ -96,6 +99,7 @@ class UpdateOutcome:
     replayed: int = 0
     recomputed: int = 0
     rederived: int = 0
+    groups_recomputed: int = 0
     elapsed_s: float = 0.0
 
 
@@ -184,6 +188,7 @@ def incremental_update(
             replayed=replay.replayed,
             recomputed=replay.recomputed,
             rederived=replay.rederived,
+            groups_recomputed=replay.groups_recomputed,
         )
     elapsed = time.perf_counter() - started
     outcome = UpdateOutcome(
@@ -194,6 +199,7 @@ def incremental_update(
         replayed=replay.replayed,
         recomputed=replay.recomputed,
         rederived=replay.rederived,
+        groups_recomputed=replay.groups_recomputed,
         elapsed_s=elapsed,
     )
     flush_update_metrics(outcome)
@@ -208,12 +214,16 @@ def flush_update_metrics(outcome: UpdateOutcome) -> None:
     obs.incr("chase.delta_records_replayed", outcome.replayed)
     obs.incr("chase.delta_records_recomputed", outcome.recomputed)
     obs.incr("incremental.rederived_total", outcome.rederived)
+    obs.incr("chase.delta_groups_recomputed", outcome.groups_recomputed)
     obs.observe("chase.delta_update_s", outcome.elapsed_s)
     flight = obs.current_flight()
     if flight is not None:
         flight.count("chase_delta_updates")
         flight.count("chase_delta_replayed", outcome.replayed)
         flight.count("chase_delta_recomputed", outcome.recomputed)
+        flight.count(
+            "chase_delta_groups_recomputed", outcome.groups_recomputed
+        )
 
 
 class _Replay:
@@ -262,8 +272,11 @@ class _Replay:
         self.intensional = program.intensional_predicates()
 
         # --- static index of the old run ------------------------------
-        self.agg_meta: dict[str, tuple] = {}
-        self.body_vars: dict[str, frozenset[Variable]] = {}
+        self.agg_meta = {
+            rule.label: aggregate_split(rule)
+            for rule in program.rules
+            if rule.has_aggregate
+        }
         #: fact -> the slot where the old run first derived it.
         self.old_slot_of: dict[Fact, Slot] = {}
         #: per stratum: (local round, rule position) -> scheduled records.
@@ -299,7 +312,7 @@ class _Replay:
                 (local_round, position), []
             ).append(record)
             if record.contributors:
-                _, _, key_vars = self._aggregate_meta(record.rule)
+                _, _, key_vars = self.agg_meta[record.rule.label]
                 key = tuple(record.binding[v] for v in key_vars)
                 group: GroupKey = (record.rule.label, key)
                 for contribution in record.contributors:
@@ -330,6 +343,7 @@ class _Replay:
         self.replayed = 0
         self.recomputed = 0
         self.rederived = 0
+        self.groups_recomputed = 0
 
     # ------------------------------------------------------------------
     # Seeding
@@ -427,10 +441,9 @@ class _Replay:
         exclude: frozenset[Fact],
         seeds: tuple[MutableSubstitution, ...] | list[MutableSubstitution],
     ) -> int:
-        # parents tuple -> (old record to re-fire, canonical binding).
+        # parents tuple -> old record to re-fire, or the new binding.
         candidates: dict[
-            tuple[Fact, ...],
-            tuple[ChaseStepRecord | None, MutableSubstitution | None],
+            tuple[Fact, ...], ChaseStepRecord | MutableSubstitution
         ] = {}
         for record in due:
             if any(parent not in self.db for parent in record.parents):
@@ -448,48 +461,18 @@ class _Replay:
                 # is dead for good.
                 self._record_missed(record.fact)
                 continue
-            candidates.setdefault(record.parents, (record, None))
+            candidates.setdefault(record.parents, record)
 
-        relevant = self._delta_for(rule, exclude)
-        if relevant:
-            kernel = self._kernel(rule)
-            for binding, used in kernel.execute(
-                self.db,
-                exclude,
-                group_by_predicate(relevant),
-                stats=self.stats.plans.get(rule.label),
-                profile_label=rule.label + "+delta",
-            ):
-                candidates.setdefault(used, (None, binding))
-
-        pool = self.threatened.get(rule.head.predicate)
-        if pool:
-            for fact in list(pool):
-                if fact in self.db:
-                    del pool[fact]
-                    continue
-                seed = match_atom(rule.head, fact)
-                if seed is None:
-                    continue
-                for _, used in self._bound_matches(
-                    rule, rule.conditions, seed, exclude
-                ):
-                    candidates.setdefault(used, (None, None))
-
-        for seed in seeds:
-            for _, used in self._bound_matches(
-                rule, rule.conditions, seed, exclude
-            ):
-                candidates.setdefault(used, (None, None))
+        for binding, used in self._discover(rule, exclude, seeds):
+            candidates.setdefault(used, binding)
 
         fired = 0
         for used in sorted(candidates, key=self._sequence_key):
-            record, binding = candidates[used]
-            if record is not None:
-                derived = record.fact
+            found = candidates[used]
+            if isinstance(found, ChaseStepRecord):
+                derived = found.fact
             else:
-                if binding is None:
-                    binding = self._rebuild_binding(rule, used)
+                binding = found
                 derived = apply_substitution(rule.head, binding)
                 if not derived.is_fact():
                     raise EvaluationError(
@@ -497,10 +480,9 @@ class _Replay:
                     )
             if self.db.add(derived):
                 fired += 1
-                if record is not None:
-                    self._emit_replayed(record, global_round)
+                if isinstance(found, ChaseStepRecord):
+                    self._emit_replayed(found, global_round)
                 else:
-                    assert binding is not None
                     self._emit(
                         ChaseStepRecord(
                             index=len(self.records),
@@ -531,43 +513,16 @@ class _Replay:
     ) -> int:
         aggregate = rule.aggregate
         assert aggregate is not None
-        pre, post, key_vars = self._aggregate_meta(rule)
+        _, post, key_vars = self.agg_meta[rule.label]
         label = rule.label
-
-        def mark_dirty(binding: MutableSubstitution) -> None:
-            key = tuple(binding[v] for v in key_vars)
-            self.dirty_groups.setdefault(label, set()).add(key)
+        dirty = self.dirty_groups.setdefault(label, set())
 
         # Discovery: delta matches, rederivation probes and negation
         # seeds only mark groups dirty — the aggregate is set-at-a-time,
         # so dirty groups are recomputed whole below.
-        relevant = self._delta_for(rule, exclude)
-        if relevant:
-            kernel = self._kernel(rule)
-            for binding, _ in kernel.execute(
-                self.db,
-                exclude,
-                group_by_predicate(relevant),
-                stats=self.stats.plans.get(label),
-                profile_label=label + "+delta",
-            ):
-                mark_dirty(binding)
-        pool = self.threatened.get(rule.head.predicate)
-        if pool:
-            for fact in list(pool):
-                if fact in self.db:
-                    del pool[fact]
-                    continue
-                seed = match_atom(rule.head, fact)
-                if seed is None:
-                    continue
-                for _, used in self._bound_matches(rule, pre, seed, exclude):
-                    mark_dirty(self._rebuild_binding(rule, used))
-        for seed in seeds:
-            for _, used in self._bound_matches(rule, pre, seed, exclude):
-                mark_dirty(self._rebuild_binding(rule, used))
+        for binding, _ in self._discover(rule, exclude, seeds):
+            dirty.add(tuple(binding[v] for v in key_vars))
 
-        dirty = self.dirty_groups.get(label, set())
         # (sort key, old record, group, derived, contributions, value,
         #  group binding); sorted into the fresh engine's emission order
         # (groups appear in first-contribution order).
@@ -613,28 +568,32 @@ class _Replay:
                 # gone, blocked, reordered, or the group's state
                 # drifted.  Hand the group to the recomputation path
                 # from this turn on.
-                self.dirty_groups.setdefault(label, set()).add(key)
-                dirty = self.dirty_groups[label]
+                dirty.add(key)
                 self._record_missed(record.fact)
                 continue
             emissions.append(
                 (keys[0], record, group, record.fact, None, None, None)
             )
 
-        for key in dirty:
-            group = (label, key)
-            seed = dict(zip(key_vars, key))
-            contributions: list[Contribution] = []
-            for _, used in self._bound_matches(rule, pre, seed, exclude):
-                rebuilt = self._rebuild_binding(rule, used)
-                if tuple(rebuilt[v] for v in key_vars) != key:
-                    continue
-                value = evaluate_expression(aggregate.argument, rebuilt)
-                contributions.append(
-                    Contribution(facts=used, value=value, binding=rebuilt)
+        # One execution seeded with every dirty key recomputes all dirty
+        # groups.  Key variables that are assignment targets cannot be
+        # seeded, so matches are bucketed by their full key.
+        self.groups_recomputed += len(dirty)
+        members: dict[tuple[Term, ...], list[Contribution]] = {}
+        for binding, used in self._probe(
+            rule, exclude, seeds=[dict(zip(key_vars, key)) for key in dirty]
+        ):
+            key = tuple(binding[v] for v in key_vars)
+            if key in dirty:
+                members.setdefault(key, []).append(
+                    Contribution(
+                        facts=used,
+                        value=evaluate_expression(aggregate.argument, binding),
+                        binding=binding,
+                    )
                 )
-            if not contributions:
-                continue
+        for key, contributions in members.items():
+            group = (label, key)
             value = aggregate.evaluate(c.value for c in contributions)
             group_binding: MutableSubstitution = dict(zip(key_vars, key))
             group_binding[aggregate.result] = Constant(value)
@@ -708,16 +667,19 @@ class _Replay:
                 # supersedes on a deduplicated emission; mirror that and
                 # keep recomputing the group until the trajectory syncs.
                 self.stats.facts_deduplicated += 1
-                self.dirty_groups.setdefault(label, set()).add(group[1])
+                dirty.add(group[1])
         return fired
 
     # ------------------------------------------------------------------
     # Discovery helpers
     # ------------------------------------------------------------------
-    def _delta_for(
-        self, rule: Rule, exclude: frozenset[Fact]
-    ) -> list[Fact]:
-        """Changed facts relevant to a rule body this turn.
+    def _discover(
+        self,
+        rule: Rule,
+        exclude: frozenset[Fact],
+        seeds: tuple[MutableSubstitution, ...] | list[MutableSubstitution],
+    ) -> list[Match]:
+        """Matches found by the delta, rederivation and negation channels.
 
         The whole accumulated delta is probed every turn: a delta fact's
         join partner may replay *on its old schedule* (and hence never
@@ -725,18 +687,51 @@ class _Replay:
         becomes possible is unknowable in advance.  Candidate
         deduplication and instance-level dedup make re-discovery
         harmless, and the delta stays proportional to the update's
-        consequences.
+        consequences.  Threatened facts of the head predicate still
+        absent from the instance are bound into the rule head and probed
+        together with the negation ``seeds`` in one seeded execution;
+        threatened facts already back leave the pool.
         """
-        if not self.delta_timeline:
-            return []
         predicates = rule.body_predicates()
-        return [
+        delta = [
             fact
             for fact in self.delta_timeline
             if fact.predicate in predicates
             and fact not in exclude
             and fact in self.db
         ]
+        bound = list(seeds)
+        pool = self.threatened.get(rule.head.predicate)
+        if pool:
+            for fact in list(pool):
+                if fact in self.db:
+                    del pool[fact]
+                    continue
+                seed = match_atom(rule.head, fact)
+                if seed is not None:
+                    bound.append(seed)
+        matches = self._probe(rule, exclude, delta=group_by_predicate(delta))
+        return matches + self._probe(rule, exclude, seeds=bound)
+
+    def _probe(
+        self,
+        rule: Rule,
+        exclude: frozenset[Fact],
+        delta: dict[str, list[Fact]] | None = None,
+        seeds: list[MutableSubstitution] | None = None,
+    ) -> list[Match]:
+        """One execution of the rule's kernel, restricted to ``delta`` or
+        to ``seeds`` (nothing to probe without either)."""
+        if not delta and not seeds:
+            return []
+        return self._kernel(rule).execute(
+            self.db,
+            exclude,
+            delta,
+            stats=self.stats.plans.get(rule.label),
+            profile_label=rule.label + "+delta",
+            seeds=seeds,
+        )
 
     def _kernel(self, rule: Rule) -> RuleKernel:
         """The rule's compiled kernel, built on first use.
@@ -745,81 +740,26 @@ class _Replay:
         pays for the rules its delta actually touches.  Aggregate rules
         get delta variants here even though the fresh planner skips them
         (it re-evaluates aggregates whole): the variants drive dirty-
-        group *discovery*, never direct firing.
+        group *discovery*, never direct firing.  Seeded plans compile
+        inside the kernel on first use of each bound-variable set.
         """
         kernel = self.kernels.get(rule.label)
         if kernel is None:
             started = time.perf_counter()
-            if rule.has_aggregate:
-                pre, _, _ = self._aggregate_meta(rule)
-                compiled = RulePlan(
-                    rule=rule,
-                    full=plan_conjunction(rule, self.db, pre),
-                    delta_variants=tuple(
-                        plan_conjunction(rule, self.db, pre, pivot=index)
-                        for index in range(len(rule.body))
-                    ),
-                )
-            else:
-                compiled = plan_rule(rule, self.db)
+            # The replayed instance grows from the EDB towards the old
+            # fixpoint; the old run's cardinalities order joins better
+            # than whatever partial state the first use happens to see.
+            compiled = plan_rule(rule, self.old.database, delta_variants=True)
             self.stats.plans_compiled += 1
             entry = self.stats.plans.setdefault(rule.label, {})
             entry.update(compiled.snapshot())
-            kernel = compile_rule_kernel(compiled, self.db)
+            kernel = compile_rule_kernel(
+                compiled, self.db, statistics=self.old.database
+            )
             self.stats.kernel_compile_s += time.perf_counter() - started
             self.stats.kernels_compiled += 1
             self.kernels[rule.label] = kernel
         return kernel
-
-    def _bound_matches(
-        self,
-        rule: Rule,
-        conditions: tuple,
-        initial: MutableSubstitution,
-        exclude: frozenset[Fact],
-    ):
-        """Enumerate body homomorphisms extending ``initial``.
-
-        Mirrors the naive engine's conjunction walk (written atom order,
-        assignments then conditions then negation at the end) with a
-        seed binding for selectivity.  Restricting candidate lists by
-        bound constants preserves insertion order, so matches come out
-        in the naive enumeration order.  Seed entries that are not body
-        variables (assignment targets, the aggregate result) are
-        dropped: the walk re-derives them.
-        """
-        db = self.db
-        atoms = rule.body
-        negated = rule.negated
-        assignments = rule.assignments
-        body_vars = self._body_variables(rule)
-        seed = {
-            variable: term
-            for variable, term in initial.items()
-            if variable in body_vars
-        }
-
-        def negation_holds(binding: MutableSubstitution) -> bool:
-            for pattern in negated:
-                if next(db.match(pattern, binding, exclude), None) is not None:
-                    return False
-            return True
-
-        def recurse(index, binding, used):
-            if index == len(atoms):
-                binding = dict(binding)
-                for variable, expression in assignments:
-                    binding[variable] = evaluate_assignment(
-                        expression, binding
-                    )
-                if all(condition.holds(binding) for condition in conditions):
-                    if negation_holds(binding):
-                        yield binding, used
-                return
-            for matched, extended in db.match(atoms[index], binding, exclude):
-                yield from recurse(index + 1, extended, used + (matched,))
-
-        yield from recurse(0, seed, ())
 
     def _negation_seeds(
         self, stratum_index: int, rules: tuple[Rule, ...]
@@ -939,60 +879,3 @@ class _Replay:
     def _sequence_key(self, facts: tuple[Fact, ...]) -> tuple[int, ...]:
         sequence = self.db.sequence
         return tuple(sequence(fact) for fact in facts)
-
-    def _rebuild_binding(
-        self, rule: Rule, used: tuple[Fact, ...]
-    ) -> MutableSubstitution:
-        """The binding exactly as the naive walk would have built it.
-
-        Variables bind in written body order (first occurrence wins),
-        assignments append at the end — reproducing the fresh record's
-        mapping byte for byte regardless of which channel found the
-        match.
-        """
-        binding: MutableSubstitution = {}
-        for atom, fact in zip(rule.body, used):
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, Variable) and term not in binding:
-                    binding[term] = fact.terms[position]
-        for variable, expression in rule.assignments:
-            binding[variable] = evaluate_assignment(expression, binding)
-        return binding
-
-    def _body_variables(self, rule: Rule) -> frozenset[Variable]:
-        cached = self.body_vars.get(rule.label)
-        if cached is None:
-            cached = frozenset(
-                term
-                for atom in rule.body
-                for term in atom.terms
-                if isinstance(term, Variable)
-            )
-            self.body_vars[rule.label] = cached
-        return cached
-
-    def _aggregate_meta(self, rule: Rule):
-        meta = self.agg_meta.get(rule.label)
-        if meta is None:
-            aggregate = rule.aggregate
-            assert aggregate is not None
-            pre = tuple(
-                c
-                for c in rule.conditions
-                if aggregate.result not in c.variables()
-            )
-            post = tuple(
-                c
-                for c in rule.conditions
-                if aggregate.result in c.variables()
-            )
-            key_vars = list(aggregate.group_by)
-            for condition in post:
-                for variable in sorted(
-                    condition.variables(), key=lambda v: v.name
-                ):
-                    if variable != aggregate.result and variable not in key_vars:
-                        key_vars.append(variable)
-            meta = (pre, post, tuple(key_vars))
-            self.agg_meta[rule.label] = meta
-        return meta

@@ -24,7 +24,12 @@ compile time**:
   strategy counts those as pruned partials;
 * negation checks compile to full-arity index probes: every variable of
   a negated atom is bound by the time the check is hoisted in, so one
-  bucket lookup decides it.
+  bucket lookup decides it;
+* **seeded** executions start from caller-supplied bindings (head-bound
+  rederivation probes, aggregate group keys, vanished negation
+  blockers): seed constants become register ids, one partial per seed,
+  and a plan compiled with those variables pre-bound (cached per bound
+  variable set) makes its first step an index probe on them.
 
 **Parity.**  Register values are *canonical* ids — value-equal terms
 (``1``, ``1.0``, ``True``) share one id — which is sound for pruning
@@ -58,7 +63,7 @@ from ..datalog.errors import EvaluationError
 from ..datalog.terms import Constant, Term, Variable
 from ..datalog.unify import MutableSubstitution
 from .database import Database
-from .planner import JoinPlan, RulePlan
+from .planner import JoinPlan, RulePlan, aggregate_split, plan_conjunction
 from .symbols import SymbolTable
 
 #: A full body match: (binding, matched facts in original body order).
@@ -342,18 +347,23 @@ class PlanKernel:
         exclude: frozenset[Fact],
         delta_rows: Sequence[int] | None,
         counters: list[int],
+        initial: Sequence[list[int]] | None = None,
     ) -> list[_Entry]:
         """All full matches as (sequence, fact) tuples in body order.
 
         ``counters`` is ``[probes, scanned, pruned, matches]``, updated in
         place with the same semantics as the interpreted executor had.
+        ``initial`` register files (seeded plans) each start one partial;
+        by default a single empty one does.
         """
         probes = 0
         scanned = 0
         pruned = 0
+        if initial is None:
+            initial = ([-1] * self.slots,)
         # A partial is (registers, matched rows in step order).
         partials: list[tuple[list[int], tuple[int, ...]]] = [
-            ([-1] * self.slots, _EMPTY_ROWS)
+            (regs, _EMPTY_ROWS) for regs in initial
         ]
         for step in self.steps:
             predicate = step.predicate
@@ -468,7 +478,8 @@ class PlanKernel:
 
 
 class RuleKernel:
-    """A rule's full plan plus delta variants, compiled and reusable.
+    """A rule's full plan plus delta variants (and, on demand, seeded
+    plans), compiled and reusable.
 
     Compiled once per stratum (ids and closures stay valid as the
     database grows — columns and the symbol table are live views) and
@@ -480,21 +491,33 @@ class RuleKernel:
         "rule_plan",
         "symbols",
         "canonical",
+        "slot_of",
         "full",
         "variants",
+        "seeded",
+        "seedable",
+        "statistics",
         "body_sources",
         "assignments",
         "execs",
     )
 
-    def __init__(self, rule_plan: RulePlan, symbols: SymbolTable):
+    def __init__(
+        self,
+        rule_plan: RulePlan,
+        symbols: SymbolTable,
+        statistics: Database | None = None,
+    ):
         self.rule_plan = rule_plan
         self.symbols = symbols
+        self.statistics = statistics
         self.canonical = rule_plan.full.canonical_variables
-        slot_of = {
+        self.slot_of = slot_of = {
             variable: slot for slot, variable in enumerate(self.canonical)
         }
         self.full = PlanKernel(rule_plan.full, slot_of, symbols)
+        #: Seeded plans by sorted seeded slots, compiled on first use.
+        self.seeded: dict[tuple[int, ...], PlanKernel] = {(): self.full}
         self.variants = tuple(
             PlanKernel(variant, slot_of, symbols)
             for variant in rule_plan.delta_variants
@@ -511,6 +534,10 @@ class RuleKernel:
                     placed.add(term)
                     sources.append((term, atom_index, position))
         self.body_sources = tuple(sources)
+        #: Positive-body variables (the only seedable ones) -> slot.
+        self.seedable = {
+            variable: slot_of[variable] for variable, _, _ in sources
+        }
         self.assignments = tuple(rule_plan.rule.assignments)
         self.execs = 0
 
@@ -521,15 +548,18 @@ class RuleKernel:
         delta_by_predicate: Mapping[str, list[Fact]] | None = None,
         stats: dict | None = None,
         profile_label: str | None = None,
+        seeds: Sequence[Mapping[Variable, Term]] | None = None,
     ) -> list[Match]:
         """The rule's full matches in naive enumeration order.
 
         Same contract as :func:`repro.engine.join.execute_rule_plan`:
         without a delta the full plan runs; with one, every delta variant
         whose pivot predicate intersects the delta runs and the union is
-        deduplicated by parent sequence tuple.  Either way the entries
-        are sorted by that tuple and each binding is rebuilt from the
-        matched facts (see class docstring).  ``profile_label`` overrides
+        deduplicated by parent sequence tuple.  With ``seeds`` instead,
+        only matches extending at least one seed binding come back (see
+        :meth:`_seeded_entries`).  Either way the entries are sorted by
+        that tuple and each binding is rebuilt from the matched facts
+        (see class docstring).  ``profile_label`` overrides
         the profiler attribution row (incremental updates label their
         delta executions ``<rule>+delta`` so hot spots stay separable
         from full-run kernels in ``repro obs top``).
@@ -547,7 +577,9 @@ class RuleKernel:
         attributed = profiler.enabled or flight is not None
         started = time.perf_counter() if attributed else 0.0
         counters = [0, 0, 0, 0]
-        if delta_by_predicate is None:
+        if seeds is not None:
+            entries = self._seeded_entries(database, exclude, seeds, counters)
+        elif delta_by_predicate is None:
             entries = self.full.execute(database, exclude, None, counters)
         else:
             entries = []
@@ -602,7 +634,87 @@ class RuleKernel:
             matches.append((binding, facts))
         return matches
 
+    def _seeded_entries(
+        self,
+        database: Database,
+        exclude: frozenset[Fact],
+        seeds: Sequence[Mapping[Variable, Term]],
+        counters: list[int],
+    ) -> list[_Entry]:
+        """Matches extending any seed, unsorted and deduplicated.
 
-def compile_rule_kernel(rule_plan: RulePlan, database: Database) -> RuleKernel:
-    """Compile ``rule_plan`` into a kernel bound to ``database``'s symbols."""
-    return RuleKernel(rule_plan, database.symbols)
+        Only positive-body variables are seeded; other entries
+        (assignment targets, an aggregate result, head-only variables)
+        are ignored, so callers filter on them after the match.  A seed
+        constant the symbol table has never interned occurs in no stored
+        fact, so that seed matches nothing.  Seeds binding the same
+        variables share one execution of the plan seeded on them, one
+        partial per distinct seed.
+        """
+        seedable = self.seedable
+        lookup = self.symbols.lookup
+        by_slots: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
+        for seed in seeds:
+            fixed: list[tuple[int, int]] = []
+            for variable, term in seed.items():
+                slot = seedable.get(variable)
+                if slot is None:
+                    continue
+                symbol_id = lookup(term)
+                if symbol_id is None:
+                    break
+                fixed.append((slot, symbol_id))
+            else:
+                fixed.sort()
+                slots = tuple(slot for slot, _ in fixed)
+                by_slots.setdefault(slots, {})[
+                    tuple(symbol_id for _, symbol_id in fixed)
+                ] = None
+        entries: list[_Entry] = []
+        seen: set[tuple[int, ...]] = set()
+        for slots, seeded_ids in by_slots.items():
+            initial = []
+            for ids in seeded_ids:
+                regs = [-1] * len(self.canonical)
+                for slot, symbol_id in zip(slots, ids):
+                    regs[slot] = symbol_id
+                initial.append(regs)
+            plan = self._seeded_plan(slots, database)
+            for entry in plan.execute(
+                database, exclude, None, counters, initial
+            ):
+                # Seeds over different variables can reach one match.
+                if entry[0] not in seen:
+                    seen.add(entry[0])
+                    entries.append(entry)
+        return entries
+
+    def _seeded_plan(
+        self, slots: tuple[int, ...], database: Database
+    ) -> PlanKernel:
+        kernel = self.seeded.get(slots)
+        if kernel is None:
+            rule = self.rule_plan.rule
+            plan = plan_conjunction(
+                rule,
+                database if self.statistics is None else self.statistics,
+                aggregate_split(rule)[0],
+                seeded=frozenset(self.canonical[slot] for slot in slots),
+            )
+            kernel = PlanKernel(plan, self.slot_of, self.symbols)
+            self.seeded[slots] = kernel
+        return kernel
+
+
+def compile_rule_kernel(
+    rule_plan: RulePlan,
+    database: Database,
+    statistics: Database | None = None,
+) -> RuleKernel:
+    """Compile ``rule_plan`` into a kernel bound to ``database``'s symbols.
+
+    ``statistics`` is the database whose predicate cardinalities order
+    the kernel's lazily compiled seeded plans; by default, the one each
+    execution runs on.
+    """
+    return RuleKernel(rule_plan, database.symbols, statistics)

@@ -24,7 +24,11 @@ Plans are compiled at stratum entry (cardinalities are read from the live
 :class:`~repro.engine.database.Database`) and each plain rule also gets
 one **delta variant** per body atom for semi-naive evaluation: the pivot
 atom is forced to the front of the order (the delta is small) and
-restricted to delta facts at execution time.
+restricted to delta facts at execution time.  A **seeded** plan starts
+from a set of pre-bound variables instead: ordering and probe
+compilation treat them as bound before the first step, so that step
+probes an index on the seeded values rather than scanning (incremental
+updates use these for head-bound and group-key-bound joins).
 
 Planning is pure computation over the rule structure — execution,
 ordering guarantees and provenance parity live in
@@ -84,6 +88,8 @@ class JoinPlan:
     canonical_variables: tuple[Variable, ...]
     #: Body index of the delta-restricted atom, or ``None`` for the full plan.
     pivot: int | None = None
+    #: Variables bound before the first step (seeded plans only).
+    seeded: frozenset[Variable] = frozenset()
 
     @property
     def hoisted_conditions(self) -> int:
@@ -107,8 +113,11 @@ class JoinPlan:
                 extras.append(f"{len(step.negated)} neg")
             suffix = f" [{', '.join(extras)}]" if extras else ""
             parts.append(f"{step.atom.predicate}({probe}){suffix}")
-        pivot = f" pivot={self.pivot}" if self.pivot is not None else ""
-        return f"{self.rule_label}: " + " ⋈ ".join(parts) + pivot
+        tail = f" pivot={self.pivot}" if self.pivot is not None else ""
+        if self.seeded:
+            names = ",".join(sorted(v.name for v in self.seeded))
+            tail += f" seeded={names}"
+        return f"{self.rule_label}: " + " ⋈ ".join(parts) + tail
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,7 @@ class RulePlan:
     rule: Rule
     full: JoinPlan
     #: One variant per body atom (same length as the body); aggregates,
-    #: whose groups are always re-evaluated whole, carry no variants.
+    #: whose groups the chase re-evaluates whole, carry none by default.
     delta_variants: tuple[JoinPlan, ...] = ()
 
     def snapshot(self) -> dict:
@@ -133,18 +142,41 @@ class RulePlan:
         }
 
 
-def _pre_aggregate_conditions(rule: Rule) -> tuple[Comparison, ...]:
-    """The conditions evaluable on body bindings (aggregate result excluded)."""
+def aggregate_split(
+    rule: Rule,
+) -> tuple[tuple[Comparison, ...], tuple[Comparison, ...], tuple[Variable, ...]]:
+    """``(pre, post, key_vars)``: how an aggregate rule evaluates.
+
+    ``pre`` are the conditions evaluable on body bindings (everything
+    not reading the aggregate result), ``post`` the ones checked per
+    group once the result is known.  Groups are keyed by the group-by
+    variables plus any other variable a post condition reads (e.g. the
+    creditor's capital ``p2`` in σ7's ``l > p2``) — those must be fixed
+    within a group for the condition to be evaluable.  A plain rule
+    yields ``(rule.conditions, (), ())``.
+    """
     aggregate = rule.aggregate
     if aggregate is None:
-        return rule.conditions
-    return tuple(
+        return rule.conditions, (), ()
+    pre = tuple(
         c for c in rule.conditions if aggregate.result not in c.variables()
     )
+    post = tuple(
+        c for c in rule.conditions if aggregate.result in c.variables()
+    )
+    key_vars = list(aggregate.group_by)
+    for condition in post:
+        for variable in sorted(condition.variables(), key=lambda v: v.name):
+            if variable != aggregate.result and variable not in key_vars:
+                key_vars.append(variable)
+    return pre, post, tuple(key_vars)
 
 
 def _choose_order(
-    atoms: tuple[Atom, ...], database: Database, pivot: int | None
+    atoms: tuple[Atom, ...],
+    database: Database,
+    pivot: int | None,
+    seeded: frozenset[Variable],
 ) -> tuple[int, ...]:
     """Greedy selectivity ordering of the body atoms.
 
@@ -152,10 +184,11 @@ def _choose_order(
     2, bound variables 1), predicate cardinality ascending, original body
     position ascending.  A ``pivot`` atom is forced to the front: under
     semi-naive evaluation it enumerates only the (small) delta.
+    ``seeded`` variables count as bound from the start.
     """
     remaining = list(range(len(atoms)))
     order: list[int] = []
-    bound: set[Variable] = set()
+    bound: set[Variable] = set(seeded)
     if pivot is not None:
         remaining.remove(pivot)
         order.append(pivot)
@@ -181,9 +214,14 @@ def _compile_steps(
     conditions: tuple[Comparison, ...],
     order: tuple[int, ...],
     database: Database,
+    seeded: frozenset[Variable],
 ) -> tuple[JoinStep, ...]:
-    """Attach probes, hoisted conditions/assignments/negations to each step."""
-    bound: set[Variable] = set()
+    """Attach probes, hoisted conditions/assignments/negations to each step.
+
+    ``seeded`` variables are bound before the first step, so their
+    occurrences become probe positions.
+    """
+    bound: set[Variable] = set(seeded)
     pending_assignments = list(rule.assignments)
     pending_conditions = list(conditions)
     pending_negated = list(rule.negated)
@@ -260,10 +298,12 @@ def plan_conjunction(
     database: Database,
     conditions: tuple[Comparison, ...],
     pivot: int | None = None,
+    seeded: frozenset[Variable] = frozenset(),
 ) -> JoinPlan:
-    """Compile one ordered plan for the rule body (optionally delta-pivoted)."""
-    order = _choose_order(rule.body, database, pivot)
-    steps = _compile_steps(rule, conditions, order, database)
+    """Compile one ordered plan for the rule body, optionally
+    delta-pivoted or seeded with pre-bound body variables."""
+    order = _choose_order(rule.body, database, pivot, seeded)
+    steps = _compile_steps(rule, conditions, order, database, seeded)
     step_of_atom = [0] * len(order)
     for step_index, atom_index in enumerate(order):
         step_of_atom[atom_index] = step_index
@@ -274,19 +314,26 @@ def plan_conjunction(
         step_of_atom=tuple(step_of_atom),
         canonical_variables=canonical_binding_order(rule),
         pivot=pivot,
+        seeded=seeded,
     )
 
 
-def plan_rule(rule: Rule, database: Database) -> RulePlan:
-    """Compile a rule's full plan and (for plain rules) its delta variants.
+def plan_rule(
+    rule: Rule, database: Database, delta_variants: bool | None = None
+) -> RulePlan:
+    """Compile a rule's full plan and its per-pivot delta variants.
 
-    Aggregate plans are built over the *pre-aggregation* conditions only;
-    post-aggregation conditions need the aggregate result and stay with
-    the engine's group evaluation.
+    Variants are built for plain rules by default; the chase re-evaluates
+    aggregates whole, so they only get variants on request (incremental
+    updates use them to discover dirty groups).  Aggregate plans are
+    built over the *pre-aggregation* conditions only; post-aggregation
+    conditions need the aggregate result and stay with group evaluation.
     """
-    conditions = _pre_aggregate_conditions(rule)
+    conditions, _, _ = aggregate_split(rule)
     full = plan_conjunction(rule, database, conditions)
-    if rule.has_aggregate:
+    if delta_variants is None:
+        delta_variants = not rule.has_aggregate
+    if not delta_variants:
         return RulePlan(rule=rule, full=full)
     variants = tuple(
         plan_conjunction(rule, database, conditions, pivot=index)

@@ -193,6 +193,42 @@ class TestEngineUpdate:
         assert metrics.counter_value("chase.delta_records_replayed") > 0
 
 
+def test_heavy_update_matches_fresh_chase(control_app):
+    """A majority edge into a dense ownership graph dirties hundreds of
+    σ3 groups (all recomputed by seeded kernels); adding and then
+    retracting it must still equal a fresh planned chase byte for byte."""
+    program = control_app.program
+    engine = ChaseEngine(strategy="planned")
+    base = engine.run(
+        program,
+        generators.random_ownership_database(entities=40, edges=120, seed=11),
+    )
+    edge = own("Istituto20", "Capital7", 0.6)
+    metrics = obs.MetricsRegistry()
+    recorder = obs.FlightRecorder()
+    with obs.observed(metrics=metrics, flight=recorder):
+        with recorder.record("update", query="heavy") as record:
+            added = engine.update(program, base, adds=[edge])
+    assert added.mode == "incremental"
+    assert added.groups_recomputed >= 100
+    assert metrics.counter_value("chase.delta_groups_recomputed") == (
+        added.groups_recomputed
+    )
+    assert record.counts["chase_delta_groups_recomputed"] == (
+        added.groups_recomputed
+    )
+    retracted = engine.update(program, added.result, retracts=[edge])
+    assert retracted.mode == "incremental"
+    for outcome in (added, retracted):
+        fresh = engine.run(
+            program, Database(extensional_facts(outcome.result))
+        )
+        _assert_identical(outcome.result, fresh)
+        assert repr(outcome.result.records) == repr(fresh.records)
+    assert extensional_facts(retracted.result) == extensional_facts(base)
+    assert retracted.result.records == base.records
+
+
 # ----------------------------------------------------------------------
 # Randomized schedules across every bundled application
 # ----------------------------------------------------------------------

@@ -156,3 +156,123 @@ class TestKernelSemantics:
         kernel = compile_rule_kernel(plan_rule(rule, database), database)
         matches = kernel.execute(database, frozenset({fact("P", "A")}))
         assert [b[v("x")].value for b, _u in matches] == ["B"]
+
+
+def _filtered(matches, seeds):
+    """Full-execution matches extending at least one seed."""
+    return [
+        (binding, used)
+        for binding, used in matches
+        if any(
+            all(binding[variable] == term for variable, term in seed.items())
+            for seed in seeds
+        )
+    ]
+
+
+class TestSeededExecution:
+    """Seeded execution == full execution filtered to the seeds, in the
+    same (naive enumeration) order, with identical bindings."""
+
+    def _check(self, rule, database, seeds, body_seeds=None):
+        kernel = compile_rule_kernel(plan_rule(rule, database), database)
+        full = kernel.execute(database, frozenset())
+        seeded = kernel.execute(database, frozenset(), seeds=seeds)
+        expected = _filtered(full, body_seeds or seeds)
+        assert seeded == expected
+        assert [list(b.items()) for b, _u in seeded] == [
+            list(b.items()) for b, _u in expected
+        ]
+        return seeded
+
+    def test_self_join_with_mixed_seed_variables(self):
+        rule = _rule("r: E(x, y), E(y, z) -> T(x, z).", goal="T")
+        database = Database([
+            fact("E", "A", "B"), fact("E", "B", "C"), fact("E", "B", "D"),
+            fact("E", "C", "D"), fact("E", "D", "B"),
+        ])
+        seeds = [
+            {v("x"): Constant("B")},
+            {v("z"): Constant("D")},
+            {v("x"): Constant("B")},  # duplicate seeds match once
+        ]
+        seeded = self._check(rule, database, seeds)
+        # E(B,C),E(C,D) extends both seeds and still comes back once.
+        assert len({used for _b, used in seeded}) == len(seeded) == 4
+
+    def test_seeded_plan_probes_instead_of_scanning(self):
+        rule = _rule("r: E(x, y), E(y, z) -> T(x, z).", goal="T")
+        database = Database(
+            [fact("E", f"N{i}", f"N{i + 1}") for i in range(50)]
+        )
+        kernel = compile_rule_kernel(plan_rule(rule, database), database)
+        stats = {}
+        kernel.execute(
+            database, frozenset(), stats=stats,
+            seeds=[{v("z"): Constant("N7")}],
+        )
+        # One probe on z, one on y: no pass over the 50 rows.
+        assert stats["scanned"] == 2
+        assert "seeded=z" in kernel.seeded[(2,)].plan.describe()
+
+    def test_negated_body_atom(self):
+        rule = _rule(
+            "r: Node(x), Node(y), not E(x, y) -> Sep(x, y).", goal="Sep"
+        )
+        database = Database([
+            fact("Node", "A"), fact("Node", "B"), fact("Node", "C"),
+            fact("E", "A", "B"), fact("E", "C", "B"),
+        ])
+        seeded = self._check(rule, database, [{v("y"): Constant("B")}])
+        assert [b[v("x")].value for b, _u in seeded] == ["B"]
+
+    def test_assignment_target_key_is_not_seeded(self):
+        """Seed entries outside the positive body (here the assignment
+        target w) are ignored; the caller filters on them afterwards."""
+        rule = _rule("r: P(x, s), w = s * 2 -> C(x, w).", goal="C")
+        database = Database([
+            fact("P", "A", 1), fact("P", "A", 2), fact("P", "B", 1),
+        ])
+        seeds = [{v("x"): Constant("A"), v("w"): Constant(4)}]
+        seeded = self._check(
+            rule, database, seeds, body_seeds=[{v("x"): Constant("A")}]
+        )
+        assert [b[v("w")].value for b, _u in seeded] == [2, 4]
+
+    def test_aggregate_group_key_seeds(self):
+        rule = _rule(
+            "r: Control(x, z), Own(z, y, s), ts = sum(s), ts > 0.5 "
+            "-> Control(x, y).",
+            goal="Control",
+        )
+        database = Database([
+            fact("Control", "A", "A"), fact("Control", "A", "B"),
+            fact("Control", "C", "C"),
+            fact("Own", "A", "D", 0.3), fact("Own", "B", "D", 0.3),
+            fact("Own", "C", "D", 0.9),
+        ])
+        seeds = [{v("x"): Constant("A"), v("y"): Constant("D")}]
+        seeded = self._check(rule, database, seeds)
+        assert len(seeded) == 2
+
+    def test_unseen_constant_matches_nothing(self):
+        rule = _rule("r: E(x, y), E(y, z) -> T(x, z).", goal="T")
+        database = Database([fact("E", "A", "B"), fact("E", "B", "C")])
+        kernel = compile_rule_kernel(plan_rule(rule, database), database)
+        symbols = len(database.symbols)
+        seeds = [{v("x"): Constant("Nowhere")}, {v("x"): Constant("A")}]
+        matches = kernel.execute(database, frozenset(), seeds=seeds)
+        assert [used for _b, used in matches] == [
+            (fact("E", "A", "B"), fact("E", "B", "C")),
+        ]
+        assert kernel.execute(
+            database, frozenset(), seeds=[{v("y"): Constant("Nowhere")}]
+        ) == []
+        assert len(database.symbols) == symbols  # probing interns nothing
+
+    def test_empty_seed_list_matches_nothing(self):
+        rule = _rule("r: E(x, y) -> T(x, y).", goal="T")
+        database = Database([fact("E", "A", "B")])
+        kernel = compile_rule_kernel(plan_rule(rule, database), database)
+        assert kernel.execute(database, frozenset(), seeds=[]) == []
+        assert len(kernel.execute(database, frozenset(), seeds=[{}])) == 1

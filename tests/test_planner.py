@@ -9,7 +9,7 @@ from repro.datalog.analysis import (
 )
 from repro.datalog.terms import Variable
 from repro.engine import Database, execute_rule_plan, plan_rule
-from repro.engine.planner import plan_conjunction
+from repro.engine.planner import aggregate_split, plan_conjunction
 
 
 def v(name):
@@ -101,6 +101,39 @@ class TestAtomOrdering:
         )
         rule_plan = plan_rule(rule, Database([]))
         assert rule_plan.delta_variants == ()
+        requested = plan_rule(rule, Database([]), delta_variants=True)
+        assert [variant.pivot for variant in requested.delta_variants] == [0]
+
+    def test_seeded_variables_probe_from_the_first_step(self):
+        rule = _rule("r: T(x, y), E(y, z) -> T(x, z).", goal="T")
+        # E is smaller, but only T holds the seeded x.
+        database = Database([
+            fact("T", "A", "B"), fact("T", "B", "C"), fact("E", "B", "C"),
+        ])
+        plan = plan_conjunction(
+            rule, database, rule.conditions, seeded=frozenset({v("x")})
+        )
+        assert plan.order == (0, 1)
+        assert plan.steps[0].probe_positions == (0,)
+        assert plan.steps[0].bind_positions == ((1, v("y")),)
+        assert plan.describe().endswith("seeded=x")
+
+
+class TestAggregateSplit:
+    def test_plain_rule_keeps_all_conditions(self):
+        rule = _rule("r: Own(x, y, s), s > 0.5 -> C(x, y).", goal="C")
+        assert aggregate_split(rule) == (rule.conditions, (), ())
+
+    def test_post_condition_variables_join_the_group_key(self):
+        rule = _rule(
+            "r: Debt(x, y, l), Capital(y, p2), s = sum(l), s > p2, "
+            "l > 0 -> Default(x).",
+            goal="Default",
+        )
+        pre, post, key_vars = aggregate_split(rule)
+        assert [str(c) for c in pre] == ["l > 0"]
+        assert [str(c) for c in post] == ["s > p2"]
+        assert key_vars == (v("x"), v("p2"))
 
 
 class TestHoisting:
